@@ -1,7 +1,7 @@
 //! Harness plumbing: argument parsing, engine loading, series reporting.
 
 use pubsub_broker::{PublishMode, SharedBroker, Validity};
-use pubsub_core::{Backpressure, EngineKind, MatchEngine, ShardedMatcher};
+use pubsub_core::{Backpressure, EngineKind, MatchEngine};
 use pubsub_types::{Event, SubscriptionId};
 use pubsub_workload::WorkloadGen;
 use std::time::{Duration, Instant};
@@ -25,11 +25,9 @@ pub struct HarnessArgs {
     pub tick_ms: u64,
     /// Print per-phase timing split (`--phases`).
     pub phases: bool,
-    /// Shard count for the sharded engine layer (`--shards N`); 0 runs the
-    /// engines unsharded.
+    /// Shard count of the `SharedBroker` in the `--publishers` contention
+    /// sweep (`--shards N`); no other measurement is sharded.
     pub shards: usize,
-    /// Events per publish batch for batched measurements (`--batch N`).
-    pub batch: usize,
     /// Emit one JSON object per data point instead of the text table
     /// (`--json`).
     pub json: bool,
@@ -47,8 +45,7 @@ impl Default for HarnessArgs {
             ticks: 120,
             tick_ms: 25,
             phases: false,
-            shards: 0,
-            batch: 64,
+            shards: 1,
             json: false,
             publishers: Vec::new(),
         }
@@ -83,7 +80,6 @@ pub fn parse_args(defaults: HarnessArgs) -> HarnessArgs {
             "--tick-ms" => args.tick_ms = value("--tick-ms").parse().expect("integer"),
             "--phases" => args.phases = true,
             "--shards" => args.shards = value("--shards").parse().expect("integer shard count"),
-            "--batch" => args.batch = value("--batch").parse().expect("integer batch size"),
             "--json" => args.json = true,
             "--publishers" => {
                 args.publishers = value("--publishers")
@@ -94,7 +90,7 @@ pub fn parse_args(defaults: HarnessArgs) -> HarnessArgs {
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --subs a,b,c  --events N  --engines a,b  --ticks N  --tick-ms N  \
-                     --phases  --shards N  --batch N  --json  --publishers a,b,c"
+                     --phases  --json  --publishers a,b,c  --shards N (with --publishers)"
                 );
                 std::process::exit(0);
             }
@@ -112,31 +108,7 @@ pub fn load_engine(
     gen: &mut WorkloadGen,
     n_subs: usize,
 ) -> (Box<dyn MatchEngine + Send>, Duration) {
-    load_built_engine(kind.build(), gen, n_subs)
-}
-
-/// [`load_engine`] behind a shard dimension: `shards == 0` builds the plain
-/// engine, `shards >= 1` wraps it in a [`ShardedMatcher`] with that many
-/// worker threads (so `--shards 1` measures pure channel overhead).
-pub fn load_engine_sharded(
-    kind: EngineKind,
-    shards: usize,
-    gen: &mut WorkloadGen,
-    n_subs: usize,
-) -> (Box<dyn MatchEngine + Send>, Duration) {
-    let engine: Box<dyn MatchEngine + Send> = if shards == 0 {
-        kind.build()
-    } else {
-        Box::new(ShardedMatcher::new(kind, shards))
-    };
-    load_built_engine(engine, gen, n_subs)
-}
-
-fn load_built_engine(
-    mut engine: Box<dyn MatchEngine + Send>,
-    gen: &mut WorkloadGen,
-    n_subs: usize,
-) -> (Box<dyn MatchEngine + Send>, Duration) {
+    let mut engine = kind.build();
     let start = Instant::now();
     for i in 0..n_subs {
         let sub = gen.subscription();

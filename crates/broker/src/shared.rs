@@ -35,9 +35,9 @@
 //! * Attribute/string interning lives in one shared [`Vocabulary`] so ids
 //!   mean the same thing on every shard.
 //!
-//! This handle is the broker-level twin of the engine-level
-//! [`pubsub_core::ShardedMatcher`]: use `ShardedMatcher` to parallelise one
-//! broker's matching; use `SharedBroker` when many threads drive the broker.
+//! This handle is the one way to parallelise matching: concurrent
+//! publishers each match a whole event on their own thread against the same
+//! snapshot.
 
 use crate::broker::Broker;
 use crate::durable::{BrokerError, DurabilityStatus};

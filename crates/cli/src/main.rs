@@ -12,21 +12,16 @@
 //! tick 5
 //! stats
 //! wal verify /var/lib/pubsub
-//! chaos arm core.sharded.worker.match panic nth=1
+//! chaos arm durability.wal.append fail nth=1
 //! help
 //! quit
 //! ```
 //!
-//! Start with `cargo run -p pubsub-cli --bin pubsub -- [engine] [--shards N]
-//! [--backpressure block|shed|error-fast] [--durable <dir>]` where `engine`
-//! is one of `counting`, `propagation`, `propagation-wp`, `static`,
-//! `dynamic` (default). `--shards N` partitions the subscription set across
-//! `N` supervised parallel shard engines; `stats` then also reports
-//! per-shard subscription counts and robustness counters (worker panics,
-//! shard rebuilds, quarantined events). `--backpressure` selects the
-//! sharded engine's overload policy. The `chaos` command drives the
-//! deterministic fault-injection registry when the binary is built with
-//! `--features faults`.
+//! Start with `cargo run -p pubsub-cli --bin pubsub -- [engine] [--durable
+//! <dir>]` where `engine` is one of `counting`, `propagation`,
+//! `propagation-wp`, `static`, `dynamic` (default). The `chaos` command
+//! drives the deterministic fault-injection registry when the binary is
+//! built with `--features faults`.
 //!
 //! `--durable <dir>` opens a crash-recoverable broker: every subscription,
 //! unsubscription and clock advance is written to a segmented write-ahead
@@ -35,7 +30,9 @@
 //! record from a crash is truncated away). The `wal` command inspects and
 //! maintains such directories — `wal verify`/`wal dump` work offline on any
 //! directory, `wal snapshot` compacts the running broker's log. Durable
-//! mode supports conjunctive subscriptions only (no OR).
+//! mode supports conjunctive subscriptions only (no OR). The durable REPL
+//! runs one shard; recovery re-partitions a WAL written under any shard
+//! count.
 //!
 //! Two subcommands run instead of the REPL (see DESIGN.md §13):
 //!
@@ -56,7 +53,7 @@
 use pubsub_broker::{
     Broker, DnfId, DnfRegistry, DnfSubscription, PublishMode, SharedBroker, Validity,
 };
-use pubsub_core::{Backpressure, EngineKind, ShardedConfig};
+use pubsub_core::{Backpressure, EngineKind};
 use pubsub_durability::{DurabilityConfig, Wal};
 use pubsub_lang::{parse_event, parse_subscription};
 use pubsub_types::faults::{self, FaultAction, Schedule};
@@ -79,47 +76,22 @@ struct Cli {
 }
 
 impl Cli {
-    /// `shards == 0` runs the engine unsharded; `shards >= 1` runs it behind
-    /// a supervised sharded worker pool with the default overload policy.
-    #[cfg(test)]
-    fn with_shards(kind: EngineKind, shards: usize) -> Self {
-        Self::with_options(kind, shards, Backpressure::Block)
-    }
-
-    /// Like [`Cli::with_shards`] with an explicit overload policy for the
-    /// sharded engine (ignored when `shards == 0`).
-    fn with_options(kind: EngineKind, shards: usize, backpressure: Backpressure) -> Self {
-        let broker = if shards == 0 {
-            Broker::new(kind)
-        } else {
-            let config = ShardedConfig {
-                backpressure,
-                ..ShardedConfig::default()
-            };
-            Broker::new_sharded_with(kind, shards, config)
-        };
+    /// A volatile broker running one engine of `kind` in the REPL's thread.
+    fn new(kind: EngineKind) -> Self {
         Self {
-            backend: Backend::Volatile(Box::new(broker)),
+            backend: Backend::Volatile(Box::new(Broker::new(kind))),
             dnf: DnfRegistry::new(),
         }
     }
 
-    /// Opens a durable broker over `dir`, recovering previous state. Prints
-    /// nothing here; the caller reports the recovery summary.
+    /// Opens a one-shard durable broker over `dir`, recovering previous
+    /// state. Prints nothing here; the caller reports the recovery summary.
     fn durable(
         kind: EngineKind,
-        shards: usize,
-        backpressure: Backpressure,
         dir: &std::path::Path,
     ) -> Result<(Self, pubsub_durability::RecoveryReport), String> {
-        let (broker, report) = SharedBroker::open_durable_with(
-            kind,
-            shards.max(1),
-            backpressure,
-            dir,
-            DurabilityConfig::default(),
-        )
-        .map_err(|e| e.to_string())?;
+        let (broker, report) =
+            SharedBroker::open_durable(kind, 1, dir).map_err(|e| e.to_string())?;
         Ok((
             Self {
                 backend: Backend::Durable(broker),
@@ -669,25 +641,6 @@ impl Cli {
                 ",\"phase1_nanos\":{},\"phase2_nanos\":{}",
                 s.phase1_nanos, s.phase2_nanos
             ));
-            if let Some(h) = broker.shard_health() {
-                out.push_str(&format!(
-                    ",\"robustness\":{{\"degraded_matches\":{},\"quarantined_events\":{},\
-                     \"replayed_subscriptions\":{},\"sealed_shards\":{},\"shard_rebuilds\":{},\
-                     \"shed_requests\":{},\"spawn_fallbacks\":{},\"worker_panics\":{}}}",
-                    h.degraded_matches,
-                    h.quarantined_events,
-                    h.replayed_subscriptions,
-                    h.sealed_shards,
-                    h.shard_rebuilds,
-                    h.shed_requests,
-                    h.spawn_fallbacks,
-                    h.worker_panics,
-                ));
-            }
-            if let Some(counts) = broker.shard_subscription_counts() {
-                let list: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
-                out.push_str(&format!(",\"shards\":[{}]", list.join(",")));
-            }
             out.push_str(&format!(
                 ",\"stored_events\":{},\"subscriptions\":{}}}",
                 broker.stored_event_count(),
@@ -714,32 +667,6 @@ impl Cli {
             per_event_us(s.phase1_nanos),
             per_event_us(s.phase2_nanos),
         );
-        if let Some(counts) = broker.shard_subscription_counts() {
-            out.push_str(&format!(
-                "\nshards {}  per-shard subscriptions {counts:?}",
-                counts.len()
-            ));
-        }
-        if let Some(h) = broker.shard_health() {
-            out.push_str(&format!(
-                "\nrobustness: panics {}  rebuilds {}  replayed {}  quarantined {}  \
-                 degraded {}  shed {}  spawn-fallbacks {}  sealed {}",
-                h.worker_panics,
-                h.shard_rebuilds,
-                h.replayed_subscriptions,
-                h.quarantined_events,
-                h.degraded_matches,
-                h.shed_requests,
-                h.spawn_fallbacks,
-                h.sealed_shards,
-            ));
-            if !h.last_quarantined.is_empty() {
-                out.push_str(&format!(
-                    "  (holding last {} quarantined event(s))",
-                    h.last_quarantined.len()
-                ));
-            }
-        }
         if metrics {
             Self::push_metrics_text(&mut out);
         }
@@ -805,16 +732,15 @@ commands:
                  (use OR for disjunctions; conjunctive-only under --durable)
   pub <event>    publish an event, e.g.        pub {price: 8, movie: 'up'}
                  separate several events with `;` to publish them as one
-                 batch (amortized phase 1, one fan-out per shard):
+                 batch (amortized phase 1):
                  pub {price: 8}; {price: 80}
   unsub <id>     remove a subscription by the id printed at sub time
   tick [n]       advance the logical clock (expires validities)
   stats          engine statistics; `--json` for machine-readable output,
                  `--metrics` to include the global metrics snapshot
-                 (requires building with `--features metrics`); sharded
-                 engines also report robustness counters (panics, rebuilds,
-                 quarantined events); durable brokers report a durability
-                 block (WAL position, recovery summary, degraded state)
+                 (requires building with `--features metrics`); durable
+                 brokers report a durability block (WAL position, recovery
+                 summary, degraded state)
   wal            WAL inspection/maintenance for --durable brokers:
                  `wal verify [dir]`, `wal dump [dir]` (read-only, any
                  directory), `wal compact <dir>` (offline), `wal snapshot`
@@ -823,10 +749,8 @@ commands:
                  `chaos status`, `chaos clear`,
                  `chaos arm <point> <action> <schedule> [lane=<n>]` with
                  action panic|corrupt|fail|delay=<ms>, schedule
-                 nth=<n>|every=<n>|seed=<seed>,<ppm>; points include
-                 core.sharded.worker.op, core.sharded.worker.match,
-                 core.sharded.spawn (lane = shard index), the durability
-                 points durability.wal.append, durability.wal.fsync,
+                 nth=<n>|every=<n>|seed=<seed>,<ppm>; points include the
+                 durability points durability.wal.append, durability.wal.fsync,
                  durability.wal.rotate, durability.wal.read,
                  durability.snapshot.write, the server points
                  net.server.accept, net.server.handshake,
@@ -1127,28 +1051,15 @@ fn main() {
         _ => {}
     }
     let mut kind = EngineKind::Dynamic;
-    let mut shards = 0usize;
-    let mut backpressure = Backpressure::Block;
     let mut durable_dir: Option<PathBuf> = None;
     let mut args = raw;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--shards" => {
-                shards = args
-                    .next()
-                    .expect("--shards needs a value")
-                    .parse()
-                    .expect("integer shard count");
-            }
-            "--backpressure" => {
-                backpressure = args
-                    .next()
-                    .expect("--backpressure needs a value")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("{e}"));
-            }
             "--durable" => {
                 durable_dir = Some(PathBuf::from(args.next().expect("--durable needs a dir")));
+            }
+            other if other.starts_with("--") => {
+                panic!("unknown flag {other} (usage: pubsub [engine] [--durable <dir>])")
             }
             other => kind = other.parse().unwrap_or_else(|e| panic!("{e}")),
         }
@@ -1156,16 +1067,7 @@ fn main() {
     let interactive = std::env::var_os("PUBSUB_NO_PROMPT").is_none();
     let mut cli = match &durable_dir {
         Some(dir) => {
-            let (cli, report) =
-                Cli::durable(kind, shards, backpressure, dir).unwrap_or_else(|e| panic!("{e}"));
-            // `Shed`/`ErrorFast` never fire under the RCU publish mode the
-            // durable handle defaults to; say so instead of silently
-            // accepting a policy that cannot act.
-            if let Backend::Durable(broker) = &cli.backend {
-                if let Some(warning) = broker.config_warning() {
-                    eprintln!("warning: {warning}");
-                }
-            }
+            let (cli, report) = Cli::durable(kind, dir).unwrap_or_else(|e| panic!("{e}"));
             if interactive {
                 println!(
                     "fastpubsub durable broker ({}, {}). Recovered {} op(s){}. Type `help`.",
@@ -1181,18 +1083,10 @@ fn main() {
             cli
         }
         None => {
-            let cli = Cli::with_options(kind, shards, backpressure);
             if interactive {
-                if shards == 0 {
-                    println!("fastpubsub broker ({}). Type `help`.", kind.label());
-                } else {
-                    println!(
-                        "fastpubsub broker ({} x {shards} shards). Type `help`.",
-                        kind.label()
-                    );
-                }
+                println!("fastpubsub broker ({}). Type `help`.", kind.label());
             }
-            cli
+            Cli::new(kind)
         }
     };
     let stdin = std::io::stdin();
@@ -1235,14 +1129,14 @@ mod tests {
     }
 
     fn durable_cli(dir: &std::path::Path) -> Cli {
-        Cli::durable(EngineKind::Dynamic, 2, Backpressure::Block, dir)
+        Cli::durable(EngineKind::Dynamic, dir)
             .expect("open durable")
             .0
     }
 
     #[test]
     fn subscribe_publish_flow() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::new(EngineKind::Dynamic);
         let r = run(&mut cli, "sub movie = 'up' AND price <= 10");
         assert_eq!(r, "subscribed s0");
         let r = run(&mut cli, "pub {movie: 'up', price: 8}");
@@ -1257,7 +1151,7 @@ mod tests {
 
     #[test]
     fn batched_publish_flow() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::new(EngineKind::Dynamic);
         assert_eq!(run(&mut cli, "sub price <= 10"), "subscribed s0");
         assert_eq!(
             run(&mut cli, "sub from = 'NYC' OR from = 'EWR'"),
@@ -1288,7 +1182,7 @@ mod tests {
 
     #[test]
     fn dnf_flow() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::new(EngineKind::Dynamic);
         let r = run(&mut cli, "sub from = 'NYC' OR from = 'EWR'");
         assert_eq!(r, "subscribed d0 (2 disjuncts)");
         let r = run(&mut cli, "pub {from: 'EWR'}");
@@ -1301,7 +1195,7 @@ mod tests {
 
     #[test]
     fn errors_are_reported_not_fatal() {
-        let mut cli = Cli::with_shards(EngineKind::Counting, 0);
+        let mut cli = Cli::new(EngineKind::Counting);
         assert!(run(&mut cli, "sub price <").starts_with("error:"));
         assert!(run(&mut cli, "pub {broken").starts_with("error:"));
         assert!(run(&mut cli, "unsub s99").starts_with("error:"));
@@ -1312,7 +1206,7 @@ mod tests {
 
     #[test]
     fn tick_and_stats() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::new(EngineKind::Dynamic);
         run(&mut cli, "sub a = 1");
         run(&mut cli, "pub {a: 1}");
         let r = run(&mut cli, "tick 3");
@@ -1325,23 +1219,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stats_report_per_shard_counts() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 3);
-        for i in 0..9 {
-            run(&mut cli, &format!("sub a = {i}"));
-        }
-        run(&mut cli, "pub {a: 4}");
-        let r = run(&mut cli, "stats");
-        assert!(r.contains("engine sharded"), "{r}");
-        assert!(r.contains("subscriptions 9"), "{r}");
-        assert!(r.contains("shards 3"), "{r}");
-        assert!(r.contains("per-shard subscriptions ["), "{r}");
-        assert!(r.contains("matches 1"), "{r}");
-    }
-
-    #[test]
     fn stats_json_and_metrics_flags() {
-        let mut cli = Cli::with_shards(EngineKind::Counting, 0);
+        let mut cli = Cli::new(EngineKind::Counting);
         run(&mut cli, "sub a = 1");
         run(&mut cli, "pub {a: 1}");
         let r = run(&mut cli, "stats --json");
@@ -1361,26 +1240,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stats_report_robustness() {
-        let mut cli = Cli::with_options(EngineKind::Counting, 2, Backpressure::Shed);
-        run(&mut cli, "sub a = 1");
-        let r = run(&mut cli, "stats");
-        assert!(r.contains("robustness: panics 0"), "{r}");
-        let r = run(&mut cli, "stats --json");
-        assert!(r.contains("\"robustness\":{\"degraded_matches\":0"), "{r}");
-        assert!(r.contains("\"worker_panics\":0}"), "{r}");
-        // Key order stays ascending around the new key.
-        let robustness = r.find("\"robustness\"").unwrap();
-        assert!(r.find("\"phase2_nanos\"").unwrap() < robustness, "{r}");
-        assert!(robustness < r.find("\"shards\"").unwrap(), "{r}");
-        // Unsharded brokers have no robustness section.
-        let mut plain = Cli::with_shards(EngineKind::Counting, 0);
-        assert!(!run(&mut plain, "stats --json").contains("robustness"));
-    }
-
-    #[test]
     fn chaos_command_status_arm_clear() {
-        let mut cli = Cli::with_shards(EngineKind::Counting, 2);
+        let dir = temp_dir("chaos");
+        let mut cli = durable_cli(&dir);
         let r = run(&mut cli, "chaos");
         assert!(r.contains("fault injection"), "{r}");
         assert_eq!(run(&mut cli, "chaos clear"), "cleared all fault rules");
@@ -1390,19 +1252,19 @@ mod tests {
             // Arming requires the compiled-in registry.
             let r = run(&mut cli, "chaos arm p panic nth=1");
             assert!(r.starts_with("error:"), "{r}");
+            std::fs::remove_dir_all(&dir).unwrap();
             return;
         }
-        run(&mut cli, "sub a = 1");
-        let r = run(&mut cli, "chaos arm core.sharded.worker.match panic nth=1");
-        assert!(r.starts_with("armed Panic"), "{r}");
-        // The armed panic fires at some match fan-out (this publish, unless
-        // a concurrently running test consumed the one-shot rule first);
-        // either way the supervised engine answers exactly.
+        // A one-shot delay on the WAL append point: harmless to the other
+        // durable tests running concurrently in this process, and spent by
+        // the next append at the latest, whichever test makes it.
+        let r = run(&mut cli, "chaos arm durability.wal.append delay=1 nth=1");
+        assert!(r.starts_with("armed Delay(1)"), "{r}");
+        assert_eq!(run(&mut cli, "sub a = 1"), "subscribed s0");
+        assert!(run(&mut cli, "chaos status").ends_with("0 rule(s) armed"));
         assert_eq!(run(&mut cli, "pub {a: 1}"), "matched: s0");
-        let r = run(&mut cli, "stats --json");
-        assert!(r.contains("\"robustness\":{"), "{r}");
         run(&mut cli, "chaos clear");
-        assert_eq!(run(&mut cli, "pub {a: 1}"), "matched: s0");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1426,7 +1288,7 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_ignored() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::new(EngineKind::Dynamic);
         assert_eq!(run(&mut cli, "# a comment"), "");
         assert_eq!(run(&mut cli, "   "), "");
         assert!(cli.execute("quit").is_none());
@@ -1596,7 +1458,7 @@ mod tests {
         );
         drop(cli);
         // Offline compact over the closed directory works.
-        let mut offline = Cli::with_shards(EngineKind::Counting, 0);
+        let mut offline = Cli::new(EngineKind::Counting);
         let r = run(&mut offline, &own);
         assert!(r.starts_with("compacted"), "{r}");
         assert!(

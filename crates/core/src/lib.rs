@@ -12,9 +12,6 @@
 //!   the cost-based greedy optimizer (static, §3) or maintained online
 //!   (dynamic, §4).
 //! * [`brute::BruteForceMatcher`] — the linear-scan oracle used in tests.
-//! * [`sharded::ShardedMatcher`] — a parallel layer partitioning the
-//!   subscription set across `N` worker threads, each running a complete
-//!   engine of any of the kinds above.
 //!
 //! All implement [`MatchEngine`]; [`EngineKind`] builds them by name.
 //!
@@ -26,6 +23,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod backpressure;
 pub mod brute;
 pub mod cluster;
 pub mod clustered;
@@ -34,10 +32,10 @@ pub mod engine;
 pub mod prefetch;
 pub mod propagation;
 pub mod rcu;
-pub mod sharded;
 pub mod tables;
 pub mod view;
 
+pub use backpressure::{default_shards, Backpressure};
 pub use brute::BruteForceMatcher;
 pub use cluster::{Cluster, ClusterList, LOOKAHEAD, MAX_PREFETCH_COLS, UNFOLD};
 pub use clustered::{ClusteredMatcher, DynamicConfig};
@@ -45,9 +43,5 @@ pub use counting::CountingMatcher;
 pub use engine::{EngineKind, EngineStats, MatchEngine};
 pub use propagation::PropagationMatcher;
 pub use rcu::{RcuCell, RcuGuard};
-pub use sharded::{
-    default_shards, Backpressure, MatchReport, QuarantinedEvent, ShardHealth, ShardedConfig,
-    ShardedMatcher, FAULT_SPAWN, FAULT_WORKER_MATCH, FAULT_WORKER_OP,
-};
 pub use tables::MultiAttrTable;
 pub use view::{build_frozen, MatchView, SnapshotEngine, ViewScratch};

@@ -1,19 +1,18 @@
 //! Deterministic fault injection, feature-gated like [`crate::metrics`].
 //!
-//! Production-scale brokers treat matcher workers as fallible components:
-//! threads die, allocators fail, a bad event tickles a latent bug. The
-//! supervised sharded engine (`pubsub_core::sharded`) recovers from such
-//! faults by rebuilding crashed shards from an authoritative subscription
-//! log — and this module exists to *prove* that recovery works, by letting
-//! tests and the CLI `chaos` command force faults at exact, reproducible
-//! points.
+//! Production-scale brokers treat disks, sockets and peers as fallible: a
+//! WAL append tears, an fsync fails, a connection dies mid-frame. The
+//! durable broker answers such faults with a degraded mode and the network
+//! layer with connection-local containment — and this module exists to
+//! *prove* that recovery works, by letting tests and the CLI `chaos`
+//! command force faults at exact, reproducible points.
 //!
 //! # Model
 //!
 //! Code under test declares **fault points** — named call sites (e.g.
-//! `core.sharded.worker.match`) that consult the registry via [`hit`] before
+//! `durability.wal.append`) that consult the registry via [`hit`] before
 //! doing their work. Tests **arm** rules against those points: a rule pairs a
-//! [`FaultAction`] (panic, corrupt-then-panic, delay) with a [`Schedule`]
+//! [`FaultAction`] (panic, corrupt, delay, fail) with a [`Schedule`]
 //! (fire at the n-th hit, every n-th hit, or pseudo-randomly from a seed).
 //! Hit counting is per-rule, so schedules are deterministic regardless of
 //! which thread reaches the point first.
@@ -42,14 +41,14 @@
 /// What an armed rule does when its schedule fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Panic at the fault point (contained by the site's `catch_unwind`).
+    /// Panic at the fault point (models a crash of the calling thread).
     Panic,
-    /// Corrupt local state first, then panic — the site is expected to
-    /// mutate its data structure into an invalid state before unwinding, so
-    /// recovery must discard the survivor rather than resume it.
+    /// Corrupt the data the site handles and carry on silently — durability
+    /// sites flip a payload bit, so the record's CRC catches it at the next
+    /// recovery.
     Corrupt,
     /// Sleep for this many milliseconds before proceeding normally (models
-    /// a slow or wedged worker for backpressure tests).
+    /// a slow or wedged component for backpressure tests).
     Delay(u64),
     /// Fail the operation with an injected I/O-style error instead of
     /// performing it. Durability sites interpret this per point: a failed
@@ -206,8 +205,8 @@ pub use imp::{arm, armed, clear, enabled, hit};
 
 /// Well-known fault-point names of the network server (`pubsub-net`).
 ///
-/// The older subsystems (sharded matcher, durability) declare their points
-/// as string literals at the call site; the network layer centralises its
+/// The durability layer declares its points as constants in
+/// `pubsub-durability`; the network layer centralises its
 /// names here so the server, the chaos tests and the CLI `chaos` help text
 /// cannot drift apart. The `lane` passed to [`hit`] at every network point
 /// is the server-assigned connection index, so rules can target one
